@@ -74,7 +74,6 @@ from repro.ec.cauchy import CauchyRSCode
 from repro.ec.procpool import SharedMemoryProcessPoolEncoder, make_encoder
 from repro.ec.threadpool import ThreadPoolEncoder
 from repro.sim.network import TransferRequest, gbps
-from repro.tensors.state_dict import map_tensors
 from repro.tensors.tensor import GPU
 
 
@@ -1288,8 +1287,9 @@ class ECCheckEngine(CheckpointEngine):
         self, version: int, worker: int, payload: np.ndarray, surviving: list[int]
     ) -> None:
         blob, length = self._meta_record(version, worker, surviving)
-        state = restore_state_dict(blob, payload[:length])
-        self.job.state_dicts[worker] = map_tensors(state, lambda t: t.to(GPU))
+        self.job.state_dicts[worker] = restore_state_dict(
+            blob, payload[:length], device=GPU
+        )
 
     def _rebroadcast_metadata(self, version: int, failed_nodes: set[int], surviving: list[int]) -> None:
         """Replacement nodes need the metadata copies they lost."""

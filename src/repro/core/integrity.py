@@ -24,12 +24,14 @@ from repro.errors import CheckpointError
 
 
 def chunk_digest(payload: np.ndarray | bytes) -> int:
-    """CRC-32 digest of a chunk packet's bytes."""
+    """CRC-32 digest of a chunk packet's bytes.
+
+    A C-contiguous uint8 array is hashed in place through the buffer
+    protocol; only strided input pays for a contiguous copy.
+    """
     if isinstance(payload, np.ndarray):
-        data = np.ascontiguousarray(payload, dtype=np.uint8).tobytes()
-    else:
-        data = bytes(payload)
-    return zlib.crc32(data) & 0xFFFFFFFF
+        payload = np.ascontiguousarray(payload, dtype=np.uint8)
+    return zlib.crc32(payload) & 0xFFFFFFFF
 
 
 def verify_chunk(payload: np.ndarray | bytes, digest: int) -> bool:

@@ -293,6 +293,8 @@ class ElasticClusterController:
         active = self.membership.alive
         if self.membership.at_full_strength:
             shape = (self.full_k, self.full_m)
+        elif not active:
+            shape = None  # total loss: no member left to hold a chunk
         else:
             shape = choose_degraded_shape(
                 len(active),

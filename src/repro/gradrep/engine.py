@@ -286,8 +286,10 @@ class GradRepEngine(CheckpointEngine):
         )
         meta_bytes = sum(len(m) for m in metadata.values())
         commit_time = self._trunk_time(meta_bytes * self.job.cluster.num_nodes)
+        # Each packet is a fresh buffer nothing else holds: it becomes the
+        # stream base as is.
         for worker, ckpt in checkpoints.items():
-            self._stream_packets[worker] = ckpt.packet.payload.copy()
+            self._stream_packets[worker] = ckpt.packet.payload
         return ReplicationReport(
             engine=self.name,
             seq=seq,

@@ -104,7 +104,7 @@ class HybridEngine(GradRepEngine):
     def _commit_base(self, version: int) -> None:
         self.log.rebase(version, self.job.iteration)
         self._stream_packets = {
-            worker: ckpt.packet.payload.copy()
+            worker: ckpt.packet.payload
             for worker, ckpt in self._build_packets().items()
         }
 

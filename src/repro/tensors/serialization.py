@@ -13,6 +13,13 @@ Challenge 1:
   buffers that can be encoded directly.  Only (1) and (2) — fractions of a
   percent of the checkpoint, per the paper's GPT2-345M measurement — ever
   get pickled.
+
+The engines do not call the decomposition path: the production
+packetiser, :func:`repro.core.protocol.build_worker_checkpoint` (and its
+inverse :func:`~repro.core.protocol.restore_state_dict`), fuses the split,
+the offload and the packing into one walk and one copy per tensor.
+:class:`Decomposition` is the readable reference it must match byte for
+byte (packet, payload length and metadata blob); the tests hold it to that.
 """
 
 from __future__ import annotations

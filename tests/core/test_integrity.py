@@ -28,6 +28,15 @@ def test_digest_accepts_bytes():
     assert chunk_digest(b"abc") == chunk_digest(np.frombuffer(b"abc", np.uint8))
 
 
+def test_digest_of_array_strided_view_and_bytes_agree():
+    buf = np.arange(256, dtype=np.uint8)
+    strided = buf[::3]
+    assert not strided.flags.c_contiguous
+    assert chunk_digest(buf) == chunk_digest(buf.tobytes())
+    assert chunk_digest(strided) == chunk_digest(strided.tobytes())
+    assert chunk_digest(strided) == chunk_digest(strided.copy())
+
+
 def test_corrupt_buffer_flips_bits():
     buf = np.zeros(8, dtype=np.uint8)
     corrupt_buffer(buf, byte_index=2, mask=0x0F)

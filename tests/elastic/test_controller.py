@@ -227,3 +227,19 @@ def test_maybe_adapt_noop_while_degraded():
     job.fail_nodes({1})
     controller.on_failure({1}, 150.0)
     assert controller.maybe_adapt(200.0) is None
+
+
+def test_total_loss_restores_from_backup_then_blocks_checkpointing():
+    # Every rank dead: the restore comes from the remote backup, and with
+    # no member left to hold a chunk the regroup must block checkpointing
+    # instead of asking the policy for a shape over zero nodes.
+    job, engine, manager, controller = make_controller()
+    states = checkpoint(job, manager)
+    engine.save_remote_backup()
+    everyone = set(range(job.cluster.num_nodes))
+    job.fail_nodes(everyone)
+    report = controller.on_failure(everyone, 100.0)
+    assert report.tier == "remote"
+    assert not check_restored_states(job, states)
+    assert controller.checkpointing_blocked and not controller.can_checkpoint
+    assert controller.log.of_kind("checkpointing_blocked")

@@ -200,3 +200,13 @@ def test_fleet_scales_to_200_jobs_sub_quadratically():
     report.scaling = run_scaling_curve(config)
     assert report.scaling[-1]["jobs"] == 200
     assert report.sub_quadratic is True, report.scaling_exponent()
+
+
+def test_tenant_total_loss_episode_has_no_violations():
+    # Recorded reproducer: a tenant loses every rank at once.  Its restore
+    # from the remote backup succeeds; the regroup that follows used to
+    # raise ("n_active must be >= 1") and surfaced as a violation.
+    result = run_fleet_episode(
+        2, FleetConfig(jobs=6, seed=864675513, mtbf_node_hours=0.2)
+    )
+    assert result.violations == []
