@@ -987,6 +987,7 @@ def _selftest(args, out) -> int:
     root = pathlib.Path(__file__).resolve().parents[2]
     suites = [
         "tests/ec/test_fast_equivalence.py",
+        "tests/ec/test_mul_region16.py",
         "tests/core/test_placement.py",
         "tests/core/test_selection_properties.py",
         "tests/obs",

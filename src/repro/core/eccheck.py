@@ -623,9 +623,11 @@ class ECCheckEngine(CheckpointEngine):
                     self.host.put(node, ("meta", version, worker), record)
         step2 = meta_bytes * (len(self.active_nodes) - 1) / gbps(tm.inter_node_gbps)
 
-        # Remember the packets for incremental (delta) saves.
+        # Remember the packets for incremental (delta) saves.  They are
+        # fresh buffers this save owns, and the stored data chunks are
+        # separate copies, so the delta base takes them without a copy.
         self._last_packets = {
-            w: checkpoints[w].packet.payload.copy() for w in range(world)
+            w: checkpoints[w].packet.payload for w in range(world)
         }
         self._last_full_version = version
         self._chunk_versions.add(version)
@@ -866,7 +868,7 @@ class ECCheckEngine(CheckpointEngine):
         step3 = self._step3_time(encode_total, xor_total, comm_makespan, logical_packet)
 
         self._last_packets = {
-            w: checkpoints[w].packet.payload.copy() for w in range(world)
+            w: checkpoints[w].packet.payload for w in range(world)
         }
         self._last_full_version = version
         self._chunk_versions.add(version)

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import CheckpointError, DecodeError
 from repro.ec.base import ErasureCode
-from repro.ec.kernels import xor_reduce_arrays
+from repro.ec.kernels import mul_region16, xor_reduce_arrays
 from repro.tensors.state_dict import Path, unflatten_state_dict
 from repro.tensors.tensor import CPU, SimTensor
 
@@ -198,16 +198,17 @@ def encode_packet(
         payload: the worker's packet bytes.
 
     Returns:
-        ``m`` encoded packets; XORing these across the reduction group's
-        workers yields the parity packets.
+        ``m`` encoded packets, each a fresh buffer; XORing these across the
+        reduction group's workers yields the parity packets.  Each product
+        runs on the 16-bit table kernel, byte-identical to
+        ``code.field.mul_region``.
     """
     parity = code.parity_matrix
     field = code.field
-    out: list[np.ndarray] = []
-    for i in range(code.params.m):
-        coeff = int(parity[i, data_group_index])
-        out.append(field.mul_region(coeff, payload))
-    return out
+    return [
+        mul_region16(field, int(parity[i, data_group_index]), payload)
+        for i in range(code.params.m)
+    ]
 
 
 def xor_reduce(encoded_packets: list[np.ndarray]) -> np.ndarray:

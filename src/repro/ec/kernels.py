@@ -34,13 +34,20 @@ contributes bit ``i`` to bit position ``t`` of strip ``i``; strips pack
 positions big-endian-first via ``packbits``.  The layout is internal —
 only round-trip consistency and XOR-linearity matter — which is what lets
 the chunked path re-pack each sub-range independently.
+
+One kernel here is not a bitmatrix kernel: :func:`mul_region16`, the
+constant x region multiply of the per-worker encode step (Eqn. 6), which
+looks up two bytes at a time in a 16-bit product table.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from repro.errors import CodeConfigError
+from repro.errors import CodeConfigError, FieldError
+from repro.gf.field import GF
 from repro.obs import metrics as obs_metrics
 
 #: Width of the XOR word: strips are XORed as ``uint64`` lanes.
@@ -372,3 +379,67 @@ def xor_reduce_arrays(arrays: list[np.ndarray]) -> np.ndarray:
     acc = np.array(arrays[0], dtype=np.uint8, copy=True).ravel()
     xor_reduce_into(acc, [np.ascontiguousarray(a, dtype=np.uint8).ravel() for a in arrays[1:]])
     return acc
+
+
+#: 16-bit product tables kept at once: 128 KiB each, 8 MiB in all — one
+#: per coefficient of a (12, 4) code.
+PRODUCT_TABLE_CACHE = 64
+
+#: uint16 words per ``np.take`` call.  take casts its indices to intp
+#: first; 32 Ki words keep that 256 KiB temporary cache-resident instead
+#: of allocating four packet sizes of it (~30% faster on a 3.6 MB packet).
+TAKE_CHUNK_WORDS = 1 << 15
+
+_ALL_WORDS16 = np.arange(1 << 16, dtype=np.uint16)
+
+
+@lru_cache(maxsize=PRODUCT_TABLE_CACHE)
+def product_table16(w: int, c: int) -> np.ndarray:
+    """Read-only 65,536-entry table: native uint16 ``x`` -> ``c * x``.
+
+    Built by running the field's own region multiply over the bytes of
+    every uint16, so the table agrees with :meth:`GF.mul_region` by
+    construction and in either byte order.  For ``w <= 8`` each entry is
+    the 8-bit table applied to both bytes of the word; for ``w = 16`` it
+    is the full word product.
+    """
+    table = GF(w).mul_region(c, _ALL_WORDS16.view(np.uint8)).view(np.uint16)
+    table.flags.writeable = False
+    return table
+
+
+def mul_region16(field: GF, c: int, buf: np.ndarray) -> np.ndarray:
+    """``field.mul_region(c, buf)``, two bytes per lookup.
+
+    Same output, byte for byte, as the field path: ``np.take`` applies the
+    cached :func:`product_table16` to the buffer's native uint16 view, and
+    an odd trailing byte (``w <= 8`` only) goes through the 8-bit table.
+    ``c = 0`` and ``c = 1`` are the zero fill and the copy.  The result is
+    always a fresh buffer of ``buf``'s shape.
+
+    Raises:
+        FieldError: for a coefficient outside the field, or an odd length
+            at ``w = 16``.
+    """
+    buf = np.ascontiguousarray(buf, dtype=np.uint8)
+    if c == 0:
+        return np.zeros_like(buf)
+    if c == 1:
+        return buf.copy()
+    flat = buf.reshape(-1)
+    n_words = flat.size // 2
+    if flat.size % 2 and field.w == 16:
+        raise FieldError("buffer length must be a multiple of 2 for w=16")
+    table = product_table16(field.w, c)
+    out = np.empty(buf.shape, dtype=np.uint8)
+    out_flat = out.reshape(-1)
+    src = flat[: 2 * n_words].view(np.uint16)
+    dst = out_flat[: 2 * n_words].view(np.uint16)
+    for start in range(0, n_words, TAKE_CHUNK_WORDS):
+        stop = start + TAKE_CHUNK_WORDS
+        # Every uint16 index is in range, so "clip" never clips; unlike the
+        # default "raise" it lets take write straight into ``out``.
+        np.take(table, src[start:stop], out=dst[start:stop], mode="clip")
+    if flat.size % 2:
+        out_flat[-1:] = field.mul_region(c, flat[-1:])
+    return out

@@ -236,6 +236,46 @@ def test_incremental_after_restore_falls_back_to_full():
     verify(job, reference)
 
 
+def _stored_chunks(engine):
+    for node in range(engine.job.cluster.num_nodes):
+        for key in engine.host.keys(node):
+            if key[0] == "chunk":
+                yield key, engine.host.get(node, key)
+
+
+@pytest.mark.parametrize("second_save", ["save", "save_incremental"])
+def test_delta_base_shares_no_memory_with_stored_chunks(second_save):
+    """The delta base owns the save's packets; every chunk is its own buffer."""
+    job, engine = make_engine()
+    engine.save()
+    job.advance()
+    getattr(engine, second_save)()
+    chunks = list(_stored_chunks(engine))
+    assert chunks and engine._last_packets
+    for key, chunk in chunks:
+        for worker, packet in engine._last_packets.items():
+            assert not np.shares_memory(chunk, packet), (key, worker)
+
+
+def test_corrupt_data_chunk_leaves_delta_base_and_falls_back_to_full():
+    from repro.core.integrity import corrupt_buffer
+
+    job, engine = make_engine()
+    engine.save()
+    base = {w: packet.copy() for w, packet in engine._last_packets.items()}
+    node = engine.placement.data_nodes[0]
+    corrupt_buffer(engine.host.get(node, engine.chunk_key(1, "data", 0, 0)))
+    for w, packet in engine._last_packets.items():
+        assert np.array_equal(packet, base[w]), w
+    job.advance()
+    report = engine.save_incremental()
+    assert "dirty_fraction" not in report.breakdown  # full-save fallback
+    reference = job.snapshot_states()
+    job.fail_nodes({0, 1})
+    engine.restore({0, 1})
+    verify(job, reference)
+
+
 # ---------------------------------------------------------------------------
 # Replay determinism properties (the gradient-log replay contract:
 # base XOR d1 XOR ... XOR dn is batching-invariant and rerun-stable).

@@ -183,6 +183,16 @@ class TestBenchHistoryCli:
         # History keeps all three runs, regression or not.
         assert len(load_history(str(tmp_path / "hist.jsonl"))) == 3
 
+    def test_worker_encode_row_is_recorded_untracked(self, tmp_path):
+        # bench-encode's worker_encode path rides along in the document;
+        # the history keeps only TRACKED_PATHS, so the gate is unchanged.
+        doc = bench_doc()
+        doc["shapes"][0]["throughput_mib_s"]["worker_encode"] = 400.0
+        code, _ = self._record(tmp_path, doc)
+        assert code == 0
+        (entry,) = load_history(str(tmp_path / "hist.jsonl"))
+        assert set(entry["shapes"][0]["throughput_mib_s"]) == set(TRACKED_PATHS)
+
     def test_first_run_reports_no_baseline(self, tmp_path):
         code, output = self._record(tmp_path, bench_doc())
         assert code == 0
